@@ -266,8 +266,7 @@ fn main() -> ExitCode {
         // Scale-up case: the zero-rebuild claim matters most at a
         // million subscribers, where the trace re-parse pays seconds.
         let store_xl = Scenario::spotify(env_size("MCSS_STORE_XL_SUBS", 1_000_000), 20140113);
-        let (store_text, store_json) =
-            experiments::fig_store_load(&[&spotify, &store_xl], instances::C3_LARGE, 100, 3);
+        let (store_text, store_json) = experiments::fig_store_load(&[&spotify, &store_xl], 100, 3);
         let mut store =
             String::from("== zero-rebuild cold start: MCSSTOR1 store vs trace parse ==\n");
         store.push_str(&store_text);

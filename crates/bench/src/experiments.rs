@@ -8,7 +8,7 @@ use cloud_cost::{instances, Ec2CostModel, FleetCostModel, InstanceType};
 use mcss_core::dynamic::DriftModel;
 use mcss_core::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
 use mcss_core::planner::plan_mixed;
-use mcss_core::serve::{Daemon, Driver, ServeConfig, Snapshot};
+use mcss_core::serve::{Daemon, Driver, ServeConfig};
 use mcss_core::stage1::{GreedySelectPairs, PairSelector, RandomSelectPairs};
 use mcss_core::stage2::{improve, Allocator, CbpConfig, CustomBinPacking, FirstFitBinPacking};
 use mcss_core::{
@@ -956,20 +956,9 @@ pub fn fig_solve_speedup(
 /// trace and rebuilding every arena from scratch, the only cold-start
 /// path that existed before the store. Every measured load (both
 /// paths) is asserted bit-identical to the generator's workload,
-/// ranked and follower arenas included.
-///
-/// A serve-recovery coda on the *first* scenario replays a short
-/// daemon session, snapshots it, and times `Daemon::resume` from the
-/// store-format (v3) snapshot versus the same state re-written in the
-/// legacy `MCSSNAP1` layout, whose load pays the full derived-state
-/// rebuild. Returns the human-readable report and the machine-readable
-/// JSON document (`BENCH_store.json`).
-pub fn fig_store_load(
-    scenarios: &[&Scenario],
-    instance: InstanceType,
-    tau: u64,
-    reps: u32,
-) -> (String, String) {
+/// ranked and follower arenas included. Returns the human-readable
+/// report and the machine-readable JSON document (`BENCH_store.json`).
+pub fn fig_store_load(scenarios: &[&Scenario], tau: u64, reps: u32) -> (String, String) {
     assert!(reps > 0, "need at least one measured load");
     let dir = std::env::temp_dir().join(format!("mcss-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -1086,78 +1075,6 @@ pub fn fig_store_load(
     }
     let _ = writeln!(out, "{}", t.render());
 
-    // Serve-recovery coda: the satellite bugfix means `Daemon::resume`
-    // now loads the snapshot's derived sections instead of re-deriving
-    // them; the legacy layout is re-written over the same state so both
-    // timings recover the *identical* daemon.
-    let serve = scenarios.first().expect("at least one scenario");
-    let serve_dir = dir.join("serve");
-    let cost = serve.cost_model(instance);
-    let capacity = cost.capacity();
-    let config = ServeConfig::new(Rate::new(tau), capacity).with_snapshot_every(0);
-    let mut daemon =
-        Daemon::create(&serve_dir, config, Box::new(cost)).expect("serve state dir is writable");
-    let drift = DriftModel {
-        rate_sigma: 0.05,
-        churn_prob: 0.05,
-        seed: 20140601,
-    };
-    let mut driver = Driver::new((*serve.workload).clone(), drift);
-    for batch in 0..3 {
-        let events = if batch == 0 {
-            driver.initial_events()
-        } else {
-            driver.next_epoch_events()
-        };
-        for e in events {
-            daemon.submit(e).expect("driver events are valid");
-        }
-        daemon.tick().expect("epoch applies");
-    }
-    let snap_path = daemon.snapshot_now().expect("snapshot writes");
-
-    let resume_ms = |label: &str| {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let recovered =
-                Daemon::resume(&serve_dir, config, Box::new(serve.cost_model(instance)))
-                    .expect("recovery succeeds");
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            assert_eq!(
-                recovered.allocation(),
-                daemon.allocation(),
-                "{label}: recovered fleet must be bit-identical"
-            );
-            assert_eq!(
-                recovered.selection(),
-                daemon.selection(),
-                "{label}: recovered selection must be bit-identical"
-            );
-            assert_eq!(
-                recovered.workload(),
-                daemon.workload(),
-                "{label}: recovered workload arenas must be bit-identical"
-            );
-        }
-        best
-    };
-    let store_ms = resume_ms("store snapshot");
-    let snap = Snapshot::load(&snap_path).expect("snapshot loads");
-    snap.write_legacy(&snap_path)
-        .expect("legacy snapshot writes");
-    let legacy_ms = resume_ms("legacy snapshot");
-    let recovery_speedup = legacy_ms / store_ms;
-
-    let _ = writeln!(
-        out,
-        "# serve recovery, {} trace, {} subscribers, bootstrap + 2 drift \
-         batches: resume from legacy MCSSNAP1 snapshot {legacy_ms:.2} ms vs \
-         MCSSTOR1 store snapshot {store_ms:.2} ms ({recovery_speedup:.2}x, \
-         best of {reps}; recovered daemons asserted bit-identical)",
-        serve.name,
-        serve.workload.num_subscribers()
-    );
     let _ = writeln!(
         out,
         "# every measured load asserted bit-identical to the generator \
@@ -1165,13 +1082,8 @@ pub fn fig_store_load(
     );
     let json = format!(
         "{{\n  \"bench\": \"store_load\",\n  \"tau\": {tau},\n  \"reps\": {reps},\n  \
-         \"unit\": \"ns_per_load\",\n  \"results\": [\n{}\n  ],\n  \
-         \"serve_recovery\": {{\"trace\": \"{}\", \"subscribers\": {}, \
-         \"legacy_ms\": {legacy_ms:.3}, \"store_ms\": {store_ms:.3}, \
-         \"speedup\": {recovery_speedup:.2}}}\n}}\n",
-        json_rows.join(",\n"),
-        serve.name,
-        serve.workload.num_subscribers()
+         \"unit\": \"ns_per_load\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        json_rows.join(",\n")
     );
     let _ = std::fs::remove_dir_all(&dir);
     (out, json)
@@ -1835,15 +1747,12 @@ mod tests {
     fn store_load_report_runs_on_small_scenarios() {
         let spotify = Scenario::spotify(400, 9);
         let twitter = Scenario::twitter(300, 9);
-        let (text, json) = fig_store_load(&[&spotify, &twitter], instances::C3_LARGE, 50, 2);
+        let (text, json) = fig_store_load(&[&spotify, &twitter], 50, 2);
         assert!(text.contains("store ns/load"), "no load table:\n{text}");
-        assert!(text.contains("serve recovery"), "no recovery line:\n{text}");
         assert!(!text.contains("false"), "a load diverged:\n{text}");
         assert!(json.contains("\"bench\": \"store_load\""));
         assert!(json.contains("\"identical_workload\": true"));
         assert!(json.contains("\"store_ns_per_load\""));
-        assert!(json.contains("\"serve_recovery\""));
-        assert!(json.contains("\"legacy_ms\""));
     }
 
     #[test]

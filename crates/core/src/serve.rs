@@ -35,10 +35,8 @@
 //! every workload arena, so the daemon adopts it with zero rebuild —
 //! only the ledger heaps and reverse index ([`FleetLedger::from_slots`])
 //! and the re-allocator basis ([`IncrementalReallocator::restore`]) are
-//! reconstructed, both cheap and deterministic. Legacy snapshots
-//! rebuild the workload arenas once, on upcast inside
-//! [`Snapshot::load`]. Either way every derived structure is a
-//! deterministic function of the persisted state (the lazy heaps
+//! reconstructed, both cheap and deterministic. Every derived structure
+//! is a deterministic function of the persisted state (the lazy heaps
 //! tolerate stale entries but never require them), so the recovered
 //! daemon is **bit-identical** to one that never stopped: same
 //! selections, same placements, same future decisions. The crash-replay
@@ -47,8 +45,9 @@
 //! follower arenas included.
 //!
 //! On-disk formats are documented field-by-field in `docs/SERVE.md`
-//! (event log, legacy snapshots) and `docs/STORE.md` (the store
-//! container snapshots use since format v3).
+//! (the event log) and `docs/STORE.md` (the store container snapshots
+//! are written as). This build reads event log v2 and snapshot v3 only;
+//! any other version is refused by number.
 
 use crate::dynamic::{DriftModel, WorkloadDelta};
 use crate::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
@@ -71,20 +70,9 @@ pub const LOG_FILE: &str = "events.log";
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 
 const LOG_MAGIC: &[u8; 8] = b"MCSSLOG1";
-const SNAP_MAGIC: &[u8; 8] = b"MCSSNAP1";
-/// Current event-log format. Version 2 added the `VmFail`/`VmRecover`
-/// record kinds; version-1 logs upcast losslessly on open (their record
-/// layouts are a strict subset), after which the header is rewritten in
-/// place so the next append targets the current version.
+/// The only event-log format this build reads or writes. Version 2
+/// added the `VmFail`/`VmRecover` record kinds.
 const LOG_VERSION: u32 = 2;
-/// Newest *legacy* snapshot format (`MCSSNAP1`). Version 2 widened the
-/// per-slot tombstone byte into a state byte (0 = live, 1 = tombstoned,
-/// 2 = failed); version-1 snapshots upcast on load with `failed = false`
-/// everywhere. Format v3 abandoned this magic entirely: snapshots are
-/// now `MCSSTOR1` store containers (see [`Snapshot`] and
-/// `docs/STORE.md`), and [`Snapshot::load`] dispatches on the magic so
-/// v1/v2 files keep loading via the rebuild path.
-const SNAP_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // Errors
@@ -149,11 +137,7 @@ impl From<McssError> for ServeError {
 // ---------------------------------------------------------------------
 
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320), shared with the store
-// container so log records, legacy snapshots, and store sections all
-// checksum identically. The store's table-driven implementation replaced
-// the bitwise loop that used to live here — snapshots grew to tens of
-// megabytes at a million subscribers, where bitwise CRC alone costs
-// ~100 ms per write.
+// container so log records and store sections checksum identically.
 use mcss_store::crc32;
 
 fn put_u32(buf: &mut Vec<u8>, x: u32) {
@@ -535,14 +519,12 @@ impl EventLog {
 
     /// Opens an existing log, replaying every valid record. A torn or
     /// corrupt tail is truncated (replay keeps the valid prefix); the
-    /// returned log appends after the last valid record. Older log
-    /// versions upcast on open: v1 records decode unchanged under v2
-    /// (v2 only *added* record kinds), and the header is rewritten in
-    /// place so subsequent appends are v2 records in a v2 log.
+    /// returned log appends after the last valid record.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Corrupt`] if the header itself is invalid,
+    /// [`ServeError::Corrupt`] if the header itself is invalid (bad
+    /// magic, or any version other than the current one),
     /// [`ServeError::Io`] on filesystem failures.
     pub fn open(path: &Path) -> Result<(EventLog, Vec<SequencedEvent>), ServeError> {
         EventLog::open_with_faults(path, None)
@@ -585,11 +567,11 @@ impl EventLog {
             });
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version == 0 || version > LOG_VERSION {
+        if version != LOG_VERSION {
             return Err(ServeError::Corrupt {
                 path: path.to_path_buf(),
                 detail: format!(
-                    "unsupported event log version {version} (this build reads up to {LOG_VERSION})"
+                    "unsupported event log version {version} (this build reads only {LOG_VERSION})"
                 ),
             });
         }
@@ -616,12 +598,6 @@ impl EventLog {
             last_seq = seq;
             records.push(SequencedEvent { seq, event });
             pos += 8 + len as usize;
-        }
-        if version < LOG_VERSION {
-            // Upcast in place: future appends write current-version
-            // records, so the header must claim the current version.
-            file.seek(SeekFrom::Start(8))?;
-            file.write_all(&LOG_VERSION.to_le_bytes())?;
         }
         if pos < bytes.len() {
             file.set_len(pos as u64)?;
@@ -680,13 +656,11 @@ impl EventLog {
 /// A checksummed point-in-time capture of the daemon's state (module
 /// docs; on-disk layout in `docs/STORE.md` and `docs/SERVE.md`).
 ///
-/// Since format v3 a snapshot is an `MCSSTOR1` store container whose
+/// A snapshot (format v3) is an `MCSSTOR1` store container whose
 /// sections are the raw arenas — the full workload (primaries *and*
 /// derived tables), the Stage-1 selection CSR, and the ledger slot
 /// table — so [`Snapshot::load`] performs **zero rebuild**: no interest
 /// transpose, no rate ranking, just checksum sweeps and bounds checks.
-/// Legacy `MCSSNAP1` (v1/v2) snapshots, which stored primaries only,
-/// still load with the old rebuild path and are upcast transparently.
 ///
 /// ```
 /// use mcss_core::serve::Snapshot;
@@ -736,143 +710,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The legacy `MCSSNAP1` body: primaries only (rates + interest
-    /// rows), derived from the workload arenas. Kept so
-    /// [`Snapshot::write_legacy`] can produce v1/v2 files for upcast
-    /// tests and before/after recovery benchmarks.
-    fn encode_body(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u64(&mut b, self.last_seq);
-        put_u64(&mut b, self.epochs_applied);
-        put_u64(&mut b, self.tau.get());
-        put_u64(&mut b, self.capacity.get());
-        let rates = self.workload.rates();
-        put_u32(&mut b, rates.len() as u32);
-        for r in rates {
-            put_u64(&mut b, r.get());
-        }
-        put_u32(&mut b, self.workload.num_subscribers() as u32);
-        for v in self.workload.subscribers() {
-            let row = self.workload.interests(v);
-            put_u32(&mut b, row.len() as u32);
-            for t in row {
-                put_u32(&mut b, t.index() as u32);
-            }
-        }
-        put_u32(&mut b, self.selection.num_subscribers() as u32);
-        for row in self.selection.rows() {
-            put_u32(&mut b, row.len() as u32);
-            for t in row {
-                put_u32(&mut b, t.index() as u32);
-            }
-        }
-        put_u32(&mut b, self.slots.len() as u32);
-        for slot in &self.slots {
-            // Slot-state byte (format v2): 0 live, 1 tombstoned, 2
-            // failed (failure implies tombstone).
-            b.push(if slot.failed {
-                2
-            } else {
-                u8::from(slot.tombstone)
-            });
-            put_u64(&mut b, slot.cap.get());
-            put_u64(&mut b, slot.used.get());
-            put_u32(&mut b, slot.rows.len() as u32);
-            for (t, subs) in &slot.rows {
-                put_u32(&mut b, t.index() as u32);
-                put_u32(&mut b, subs.len() as u32);
-                for v in subs {
-                    put_u32(&mut b, v.index() as u32);
-                }
-            }
-        }
-        b
-    }
-
-    fn decode_body(body: &[u8], version: u32) -> Option<Snapshot> {
-        let mut r = Reader::new(body);
-        let last_seq = r.u64()?;
-        let epochs_applied = r.u64()?;
-        let tau = Rate::new(r.u64()?);
-        let capacity = Bandwidth::new(r.u64()?);
-        let num_topics = r.u32()? as usize;
-        let mut rates = Vec::with_capacity(num_topics);
-        for _ in 0..num_topics {
-            rates.push(Rate::new(r.u64()?));
-        }
-        let num_subscribers = r.u32()? as usize;
-        let mut interests = Vec::with_capacity(num_subscribers);
-        for _ in 0..num_subscribers {
-            let len = r.u32()? as usize;
-            let mut row = Vec::with_capacity(len);
-            for _ in 0..len {
-                row.push(TopicId::new(r.u32()?));
-            }
-            interests.push(row);
-        }
-        let sel_rows = r.u32()? as usize;
-        let mut offsets = Vec::with_capacity(sel_rows + 1);
-        let mut topics = Vec::new();
-        offsets.push(0usize);
-        for _ in 0..sel_rows {
-            let len = r.u32()? as usize;
-            for _ in 0..len {
-                topics.push(TopicId::new(r.u32()?));
-            }
-            offsets.push(topics.len());
-        }
-        let selection = Selection::from_csr(offsets, topics);
-        let num_slots = r.u32()? as usize;
-        let mut slots = Vec::with_capacity(num_slots);
-        for _ in 0..num_slots {
-            // v1 stored a tombstone bool; v2 a three-valued state byte.
-            // A v1 snapshot predates VM failures, so `failed` upcasts
-            // to false.
-            let (tombstone, failed) = match (version, r.u8()?) {
-                (1, b) => (b != 0, false),
-                (_, 0) => (false, false),
-                (_, 1) => (true, false),
-                (_, 2) => (true, true),
-                _ => return None,
-            };
-            let cap = Bandwidth::new(r.u64()?);
-            let used = Bandwidth::new(r.u64()?);
-            let num_rows = r.u32()? as usize;
-            let mut rows = Vec::with_capacity(num_rows);
-            for _ in 0..num_rows {
-                let t = TopicId::new(r.u32()?);
-                let len = r.u32()? as usize;
-                let mut subs = Vec::with_capacity(len);
-                for _ in 0..len {
-                    subs.push(SubscriberId::new(r.u32()?));
-                }
-                rows.push((t, subs));
-            }
-            slots.push(LedgerSlot {
-                tombstone,
-                failed,
-                cap,
-                used,
-                rows,
-            });
-        }
-        if r.remaining() != 0 {
-            return None;
-        }
-        Some(Snapshot {
-            last_seq,
-            epochs_applied,
-            tau,
-            capacity,
-            // Legacy snapshots carry primaries only; the derived arenas
-            // (follower CSR, rate ranking) are rebuilt here, once, on
-            // upcast. Store-format snapshots skip this entirely.
-            workload: Workload::from_parts(rates, interests),
-            selection,
-            slots,
-        })
-    }
-
     /// Serializes the v3 snapshot: an `MCSSTOR1` container holding the
     /// serve metadata plus every arena section verbatim.
     fn to_store_bytes(&self) -> Vec<u8> {
@@ -890,38 +727,6 @@ impl Snapshot {
         crate::store::write_selection_sections(&mut store, &self.selection);
         crate::store::write_ledger_sections(&mut store, &self.slots);
         store.to_bytes()
-    }
-
-    /// Deserializes a v3 (store-container) snapshot with zero derived-
-    /// state rebuild.
-    fn from_store_bytes(bytes: Vec<u8>, path: &Path) -> Result<Snapshot, ServeError> {
-        let as_corrupt = |e: StoreError| ServeError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("corrupted snapshot: {e}"),
-        };
-        let mut reader = StoreReader::from_bytes(bytes).map_err(as_corrupt)?;
-        let meta = reader.u64s(store_section::SERVE_META).map_err(as_corrupt)?;
-        let [last_seq, epochs_applied, tau, capacity] = meta[..] else {
-            return Err(ServeError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "corrupted snapshot: section `serve-meta` must hold 4 u64s, found {}",
-                    meta.len()
-                ),
-            });
-        };
-        let workload = mcss_store::read_workload_sections(&mut reader).map_err(as_corrupt)?;
-        let selection = crate::store::read_selection_sections(&reader).map_err(as_corrupt)?;
-        let slots = crate::store::read_ledger_sections(&reader).map_err(as_corrupt)?;
-        Ok(Snapshot {
-            last_seq,
-            epochs_applied,
-            tau: Rate::new(tau),
-            capacity: Bandwidth::new(capacity),
-            workload,
-            selection,
-            slots,
-        })
     }
 
     /// Writes the snapshot atomically: the encoded, checksummed bytes go
@@ -961,38 +766,7 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Writes the snapshot in the *legacy* `MCSSNAP1` v2 layout
-    /// (primaries only, single whole-body checksum), atomically like
-    /// [`Snapshot::write`]. Loading such a file pays the full derived-
-    /// state rebuild — exactly what pre-store daemons did — so this
-    /// exists for upcast tests and for benchmarking recovery before vs
-    /// after the store format (`fig_store_load`).
-    ///
-    /// # Errors
-    ///
-    /// As [`Snapshot::write`].
-    pub fn write_legacy(&self, path: &Path) -> Result<(), ServeError> {
-        let body = self.encode_body();
-        let mut bytes = Vec::with_capacity(24 + body.len());
-        bytes.extend_from_slice(SNAP_MAGIC);
-        put_u32(&mut bytes, SNAP_VERSION);
-        put_u32(&mut bytes, crc32(&body));
-        put_u64(&mut bytes, body.len() as u64);
-        bytes.extend_from_slice(&body);
-
-        let tmp = path.with_extension("bin.tmp");
-        let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_data()?;
-        drop(file);
-        fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Loads and validates a snapshot, dispatching on the file magic:
-    /// `MCSSTOR1` containers (format v3) load with zero rebuild; legacy
-    /// `MCSSNAP1` files (v1/v2) decode the old primaries-only body and
-    /// rebuild derived state once, on upcast.
+    /// Loads and validates a snapshot with zero derived-state rebuild.
     ///
     /// # Errors
     ///
@@ -1001,35 +775,37 @@ impl Snapshot {
     /// the failing store section where one is attributable;
     /// [`ServeError::Io`] on filesystem failures.
     pub fn load(path: &Path) -> Result<Snapshot, ServeError> {
-        let corrupt = |detail: &str| ServeError::Corrupt {
+        let corrupt = |detail: String| ServeError::Corrupt {
             path: path.to_path_buf(),
             detail: format!("corrupted snapshot: {detail}"),
         };
-        let bytes = fs::read(path)?;
-        if bytes.len() >= 8 && &bytes[..8] == mcss_store::MAGIC {
-            return Snapshot::from_store_bytes(bytes, path);
-        }
-        if bytes.len() < 24 || &bytes[..8] != SNAP_MAGIC {
-            return Err(corrupt("not an mcss snapshot (bad magic)"));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version == 0 || version > SNAP_VERSION {
-            return Err(ServeError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "unsupported snapshot version {version} (this build reads up to {SNAP_VERSION})"
-                ),
-            });
-        }
-        let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let body_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let Some(body) = bytes.get(24..24 + body_len) else {
-            return Err(corrupt("truncated body"));
+        let store_err = |e: StoreError| match e {
+            StoreError::Io(e) => ServeError::Io(e),
+            StoreError::BadMagic => corrupt("not an mcss snapshot (bad magic)".into()),
+            e => corrupt(e.to_string()),
         };
-        if crc32(body) != crc {
-            return Err(corrupt("checksum mismatch"));
-        }
-        Snapshot::decode_body(body, version).ok_or_else(|| corrupt("inconsistent body"))
+        let mut reader = StoreReader::open(path).map_err(store_err)?;
+        let meta = reader
+            .read_u64s(store_section::SERVE_META)
+            .map_err(store_err)?;
+        let [last_seq, epochs_applied, tau, capacity] = meta[..] else {
+            return Err(corrupt(format!(
+                "section `serve-meta` must hold 4 u64s, found {}",
+                meta.len()
+            )));
+        };
+        let workload = mcss_store::read_workload_sections(&mut reader).map_err(store_err)?;
+        let selection = crate::store::read_selection_sections(&mut reader).map_err(store_err)?;
+        let slots = crate::store::read_ledger_sections(&mut reader).map_err(store_err)?;
+        Ok(Snapshot {
+            last_seq,
+            epochs_applied,
+            tau: Rate::new(tau),
+            capacity: Bandwidth::new(capacity),
+            workload,
+            selection,
+            slots,
+        })
     }
 }
 
@@ -1354,12 +1130,9 @@ impl Daemon {
                     config.capacity.get()
                 )));
             }
-            // Adopt the snapshot's workload as-is: a store-format (v3)
-            // snapshot carries every derived arena — follower CSR, rate
-            // ranking — so nothing is re-derived here. (Resume used to
-            // call `Workload::from_parts` and rebuild it all even when
-            // the snapshot was fresh; only legacy-snapshot upcasts pay
-            // that rebuild now, inside `Snapshot::load`.)
+            // Adopt the snapshot's workload as-is: the snapshot carries
+            // every derived arena — follower CSR, rate ranking — so
+            // nothing is re-derived here.
             let rates = snap.workload.rates().to_vec();
             let workload = Arc::new(snap.workload);
             edit = WorkloadEdit::from_workload(&workload);
@@ -2115,8 +1888,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_logs_upcast_in_place_on_open() {
-        let dir = scratch("v1-log-upcast");
+    fn logs_of_any_other_version_are_refused_by_number() {
+        let dir = scratch("log-version");
         let path = dir.join(LOG_FILE);
         let mut log = EventLog::create(&path).unwrap();
         log.append(Event::Rerate {
@@ -2127,82 +1900,46 @@ mod tests {
         log.append(Event::EpochMark { epoch: 0 }).unwrap();
         log.sync().unwrap();
         drop(log);
-        // Rewrite the header to claim version 1. The records themselves
-        // need no translation — v2 only added record kinds — so this is
-        // a faithful v1 log.
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-
-        let (mut log, records) = EventLog::open(&path).unwrap();
-        assert_eq!(records.len(), 2, "v1 records decode under v2");
-        // Appends after the upcast may use the new record kinds.
-        log.append(Event::VmFail { slot: 0 }).unwrap();
-        log.sync().unwrap();
-        drop(log);
-        let bytes = fs::read(&path).unwrap();
-        assert_eq!(
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-            LOG_VERSION,
-            "header rewritten in place on open"
-        );
-        let (_, records) = EventLog::open(&path).unwrap();
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[2].event, Event::VmFail { slot: 0 });
-
-        // A log from the future must be refused, not misread.
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        let err = EventLog::open(&path).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported event log version 99"),
-            "unexpected error: {err}"
-        );
+        let pristine = fs::read(&path).unwrap();
+        // A log from the past (v1) or from the future must be refused,
+        // not misread — and the file must be left untouched.
+        for version in [1u32, 99] {
+            let mut bytes = pristine.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            let err = EventLog::open(&path).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported event log version {version}")),
+                "unexpected error: {err}"
+            );
+            assert_eq!(fs::read(&path).unwrap(), bytes, "refusal rewrote the log");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn v1_snapshots_load_as_failure_free_v2() {
-        let dir = scratch("v1-snap-upcast");
+    fn hostile_non_store_snapshot_is_refused_without_allocating() {
+        // A CRC-sealed body in the retired `MCSSNAP1` v2 envelope whose
+        // topic count is u32::MAX: four u64 header fields, then the
+        // count. Decoders that pre-size from such counts abort the
+        // process; the store reader must refuse it on the magic alone.
+        let dir = scratch("hostile-snap");
         let path = dir.join(SNAPSHOT_FILE);
-        let snapshot = Snapshot {
-            last_seq: 4,
-            epochs_applied: 2,
-            tau: Rate::new(10),
-            capacity: Bandwidth::new(50),
-            workload: Workload::from_parts(vec![Rate::new(10)], vec![vec![t(0)]]),
-            selection: Selection::from_csr(vec![0, 1], vec![t(0)]),
-            slots: vec![
-                LedgerSlot {
-                    tombstone: false,
-                    failed: false,
-                    cap: Bandwidth::new(50),
-                    used: Bandwidth::new(20),
-                    rows: vec![(t(0), vec![v(0)])],
-                },
-                LedgerSlot {
-                    tombstone: true,
-                    failed: false,
-                    cap: Bandwidth::new(50),
-                    used: Bandwidth::ZERO,
-                    rows: vec![],
-                },
-            ],
-        };
-        snapshot.write_legacy(&path).unwrap();
-        // With no failed slots the v2 body is byte-identical to the v1
-        // encoding (the slot-state byte equals the old tombstone byte),
-        // so rewriting the header version yields a genuine v1 snapshot.
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let mut body = vec![0u8; 32];
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut bytes = b"MCSSNAP1".to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        assert_eq!(bytes.len(), 60);
         fs::write(&path, &bytes).unwrap();
-        let loaded = Snapshot::load(&path).unwrap();
-        assert_eq!(loaded.slots, snapshot.slots);
-        assert!(loaded.slots.iter().all(|s| !s.failed));
-        // The legacy body stored primaries only; the upcast rebuild must
-        // still land on bit-identical arenas.
-        assert_eq!(loaded.workload, snapshot.workload);
+        let err = Snapshot::load(&path).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Corrupt { detail, .. } if detail.contains("bad magic")),
+            "unexpected error: {err}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -34,10 +34,10 @@ pub fn write_selection_sections(store: &mut StoreBuilder, selection: &Selection)
 /// Container errors from the reader, or
 /// [`StoreError::SectionMalformed`] when the CSR is structurally
 /// inconsistent.
-pub fn read_selection_sections(store: &StoreReader) -> Result<Selection, StoreError> {
-    let offsets = store.u32s(section::SELECTION_OFFSETS)?;
+pub fn read_selection_sections(store: &mut StoreReader) -> Result<Selection, StoreError> {
+    let offsets = store.read_u32s(section::SELECTION_OFFSETS)?;
     let topics: Vec<TopicId> = store
-        .u32s(section::SELECTION_TOPICS)?
+        .read_u32s(section::SELECTION_TOPICS)?
         .into_iter()
         .map(TopicId::new)
         .collect();
@@ -45,8 +45,8 @@ pub fn read_selection_sections(store: &StoreReader) -> Result<Selection, StoreEr
         .map_err(|detail| malformed(section::SELECTION_OFFSETS, detail))
 }
 
-/// Slot-state encoding shared with the legacy snapshot format: 0 live,
-/// 1 tombstoned, 2 failed (failure implies tombstone).
+/// Slot-state encoding: 0 live, 1 tombstoned, 2 failed (failure implies
+/// tombstone).
 fn slot_state(slot: &LedgerSlot) -> u32 {
     if slot.failed {
         2
@@ -92,18 +92,19 @@ pub fn write_ledger_sections(store: &mut StoreBuilder, slots: &[LedgerSlot]) {
 /// [`StoreError::SectionMalformed`] naming the first section whose
 /// contents are inconsistent (bad state byte, non-monotone row offsets,
 /// row counts that disagree with the arena lengths).
-pub fn read_ledger_sections(store: &StoreReader) -> Result<Vec<LedgerSlot>, StoreError> {
-    const SLOT_BYTES: usize = 24;
-    let table = store.bytes(section::LEDGER_SLOTS)?;
-    if table.len() % SLOT_BYTES != 0 {
+pub fn read_ledger_sections(store: &mut StoreReader) -> Result<Vec<LedgerSlot>, StoreError> {
+    // Six u32 words per slot: cap and used as lo/hi pairs, state, rows.
+    const SLOT_WORDS: usize = 6;
+    let table = store.read_u32s(section::LEDGER_SLOTS)?;
+    if table.len() % SLOT_WORDS != 0 {
         return Err(malformed(
             section::LEDGER_SLOTS,
-            format!("{} bytes is not a whole number of slots", table.len()),
+            format!("{} bytes is not a whole number of slots", table.len() * 4),
         ));
     }
-    let row_topics = store.u32s(section::LEDGER_ROW_TOPICS)?;
-    let row_offsets = store.u32s(section::LEDGER_ROW_OFFSETS)?;
-    let subscribers = store.u32s(section::LEDGER_SUBSCRIBERS)?;
+    let row_topics = store.read_u32s(section::LEDGER_ROW_TOPICS)?;
+    let row_offsets = store.read_u32s(section::LEDGER_ROW_OFFSETS)?;
+    let subscribers = store.read_u32s(section::LEDGER_SUBSCRIBERS)?;
     if row_offsets.len() != row_topics.len() + 1 {
         return Err(malformed(
             section::LEDGER_ROW_OFFSETS,
@@ -120,13 +121,14 @@ pub fn read_ledger_sections(store: &StoreReader) -> Result<Vec<LedgerSlot>, Stor
         ));
     }
 
-    let mut slots = Vec::with_capacity(table.len() / SLOT_BYTES);
+    let wide = |lo: u32, hi: u32| Bandwidth::new(u64::from(lo) | u64::from(hi) << 32);
+    let mut slots = Vec::with_capacity(table.len() / SLOT_WORDS);
     let mut row = 0usize;
-    for record in table.chunks_exact(SLOT_BYTES) {
-        let cap = Bandwidth::new(u64::from_le_bytes(record[0..8].try_into().unwrap()));
-        let used = Bandwidth::new(u64::from_le_bytes(record[8..16].try_into().unwrap()));
-        let state = u32::from_le_bytes(record[16..20].try_into().unwrap());
-        let row_count = u32::from_le_bytes(record[20..24].try_into().unwrap()) as usize;
+    for record in table.chunks_exact(SLOT_WORDS) {
+        let cap = wide(record[0], record[1]);
+        let used = wide(record[2], record[3]);
+        let state = record[4];
+        let row_count = record[5] as usize;
         let (tombstone, failed) = match state {
             0 => (false, false),
             1 => (true, false),

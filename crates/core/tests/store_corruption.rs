@@ -99,7 +99,7 @@ fn flipping_any_section_byte_fails_closed_with_the_section_named() {
     let dir = scratch("snapshot-sweep");
     let path = daemon_snapshot(&dir);
     let pristine = std::fs::read(&path).unwrap();
-    let reader = StoreReader::from_bytes(pristine.clone()).unwrap();
+    let reader = StoreReader::open(&path).unwrap();
     let sections: Vec<_> = reader
         .sections()
         .iter()
@@ -139,7 +139,7 @@ fn workload_store_corruption_names_each_section() {
     let path = dir.join("workload.mcss");
     drifted_workload(7, 4).to_store(&path).unwrap();
     let pristine = std::fs::read(&path).unwrap();
-    let reader = StoreReader::from_bytes(pristine.clone()).unwrap();
+    let reader = StoreReader::open(&path).unwrap();
     let sections: Vec<_> = reader
         .sections()
         .iter()

@@ -4,8 +4,8 @@
 //! The format is deliberately dumb: a 4096-byte header page (magic,
 //! version, section table) followed by each section's raw payload at a
 //! 4096-byte-aligned offset. Payloads are the in-memory arenas written
-//! little-endian, so loading is one `read` plus a CRC sweep plus a
-//! bounds-checked widening pass — no parsing, no per-row work.
+//! little-endian, so loading a section is one fused CRC-and-widen pass
+//! over its bytes — no parsing, no per-row work.
 
 use std::fmt;
 use std::fs::{self, File};
@@ -280,7 +280,7 @@ fn crc32_update_wide(init: u32, bytes: &[u8]) -> u32 {
 /// CRC32 (IEEE 802.3, the zlib/PNG polynomial) over `bytes`. Runs four
 /// interleaved lookup chains (`crc32_update_wide`), sustaining
 /// multiple GB/s — the load-path CRC sweep over a store stays a small
-/// fraction of the one-read cold start even at a million subscribers.
+/// fraction of the cold start even at a million subscribers.
 /// Identical values to the classic one-lookup-per-byte loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update_wide(!0, bytes)
@@ -506,13 +506,13 @@ pub struct SectionInfo {
 
 /// Validates a store header page against the file's actual byte count
 /// and returns the section table: magic, version, header checksum, and
-/// every table entry's bounds and alignment. `bytes` may be the whole
-/// file or just its first page — only `bytes[..PAGE]` is inspected.
+/// every table entry's bounds and alignment. `bytes` is the file's first
+/// `min(PAGE, actual_len)` bytes.
 fn validate_header(bytes: &[u8], actual_len: u64) -> Result<Vec<SectionInfo>, StoreError> {
     if bytes.len() < 8 || &bytes[..8] != MAGIC {
         return Err(StoreError::BadMagic);
     }
-    if bytes.len() < PAGE || actual_len < PAGE as u64 {
+    if bytes.len() < PAGE {
         return Err(StoreError::HeaderCorrupt(
             "file shorter than the header page".into(),
         ));
@@ -573,136 +573,24 @@ fn validate_header(bytes: &[u8], actual_len: u64) -> Result<Vec<SectionInfo>, St
     Ok(sections)
 }
 
-/// A loaded store: the whole file in memory plus its validated section
-/// table. Opening performs header validation only; each section's
-/// payload CRC is checked on first access, so corruption is always
-/// attributed to a named section.
-#[derive(Debug)]
-pub struct StoreReader {
-    bytes: Vec<u8>,
-    sections: Vec<SectionInfo>,
-}
-
-impl StoreReader {
-    /// Reads and validates a store file — one `read` syscall for the
-    /// whole file, then pure in-memory checks.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failures, otherwise any header
-    /// validation error from [`StoreReader::from_bytes`].
-    pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
-        StoreReader::from_bytes(fs::read(path)?)
-    }
-
-    /// Validates an in-memory store image: magic, version, header
-    /// checksum, and every table entry's bounds and alignment.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::BadMagic`], [`StoreError::UnsupportedVersion`], or
-    /// [`StoreError::HeaderCorrupt`] naming what is inconsistent.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<StoreReader, StoreError> {
-        let sections = validate_header(&bytes, bytes.len() as u64)?;
-        Ok(StoreReader { bytes, sections })
-    }
-
-    /// Total file length in bytes.
-    pub fn file_len(&self) -> u64 {
-        self.bytes.len() as u64
-    }
-
-    /// The validated section table, in file order.
-    pub fn sections(&self) -> &[SectionInfo] {
-        &self.sections
-    }
-
-    /// Whether the table lists section `id`.
-    pub fn has(&self, id: u32) -> bool {
-        self.sections.iter().any(|s| s.id == id)
-    }
-
-    /// A section's raw payload, CRC-verified.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::MissingSection`] when the table lacks `id`;
-    /// [`StoreError::SectionCrc`] naming the section when its payload
-    /// fails the checksum.
-    pub fn bytes(&self, id: u32) -> Result<&[u8], StoreError> {
-        let info = self.sections.iter().find(|s| s.id == id).ok_or_else(|| {
-            StoreError::MissingSection {
-                section: section_name(id).to_string(),
-            }
-        })?;
-        let payload = &self.bytes[info.offset as usize..(info.offset + info.len) as usize];
-        if crc32(payload) != info.crc {
-            return Err(StoreError::SectionCrc {
-                section: info.name.to_string(),
-            });
-        }
-        Ok(payload)
-    }
-
-    /// A section decoded as little-endian u32s.
-    ///
-    /// # Errors
-    ///
-    /// As [`StoreReader::bytes`], plus [`StoreError::SectionMalformed`]
-    /// when the payload length is not a multiple of 4.
-    pub fn u32s(&self, id: u32) -> Result<Vec<u32>, StoreError> {
-        let payload = self.bytes(id)?;
-        if payload.len() % 4 != 0 {
-            return Err(StoreError::SectionMalformed {
-                section: section_name(id).to_string(),
-                detail: format!("{} bytes is not a whole number of u32s", payload.len()),
-            });
-        }
-        Ok(payload
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// A section decoded as little-endian u64s.
-    ///
-    /// # Errors
-    ///
-    /// As [`StoreReader::bytes`], plus [`StoreError::SectionMalformed`]
-    /// when the payload length is not a multiple of 8.
-    pub fn u64s(&self, id: u32) -> Result<Vec<u64>, StoreError> {
-        let payload = self.bytes(id)?;
-        if payload.len() % 8 != 0 {
-            return Err(StoreError::SectionMalformed {
-                section: section_name(id).to_string(),
-                detail: format!("{} bytes is not a whole number of u64s", payload.len()),
-            });
-        }
-        Ok(payload
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
-/// Bytes streamed per `read` by [`StoreFile`] — large enough to
+/// Bytes streamed per `read` by [`StoreReader`] — large enough to
 /// amortize syscalls, small enough to stay cache-resident so the fused
 /// checksum-and-widen pass reads the kernel's copy out of L2 instead of
 /// sweeping the whole section through DRAM a second time.
 const STREAM_CHUNK: usize = 512 * 1024;
 
-/// A store opened for streaming section loads. Where [`StoreReader`]
-/// buffers the entire file, `StoreFile` reads the header page, then
-/// pulls each requested section through a fixed cache-sized scratch
-/// buffer, fusing the CRC sweep and the little-endian widening into one
-/// pass over warm bytes. On a memory-bandwidth-bound cold start this
-/// skips a whole-file DRAM round trip; per-chunk CRCs are stitched with
-/// the GF(2) shift operator so the verified value is identical to a
-/// single sweep. Sections still fail closed: a payload whose checksum
+/// An open store. Opening reads and validates the header page only;
+/// each requested section is then pulled through a fixed cache-sized
+/// scratch buffer, fusing the CRC sweep and the little-endian widening
+/// into one pass over warm bytes. On a memory-bandwidth-bound cold start
+/// this skips a whole-file DRAM round trip; per-chunk CRCs are stitched
+/// with the GF(2) shift operator so the verified value is identical to a
+/// single sweep. Sections fail closed: a payload whose checksum
 /// mismatches is reported by name and its data is never returned.
 #[derive(Debug)]
-pub struct StoreFile {
+pub struct StoreReader {
     file: File,
+    file_len: u64,
     sections: Vec<SectionInfo>,
     scratch: Vec<u8>,
     /// [`CRC_BYTE_OP`]^`STREAM_CHUNK`, precomputed once: every full
@@ -710,26 +598,34 @@ pub struct StoreFile {
     chunk_op: [u32; 32],
 }
 
-impl StoreFile {
+impl StoreReader {
     /// Opens a store and validates its header page against the file's
-    /// on-disk length. No section payload is read yet.
+    /// on-disk length: magic, version, header checksum, and every table
+    /// entry's bounds and alignment. No section payload is read yet.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on filesystem failures, otherwise any header
-    /// validation error from [`StoreReader::from_bytes`].
-    pub fn open(path: &Path) -> Result<StoreFile, StoreError> {
+    /// [`StoreError::Io`] on filesystem failures, otherwise
+    /// [`StoreError::BadMagic`], [`StoreError::UnsupportedVersion`], or
+    /// [`StoreError::HeaderCorrupt`] naming what is inconsistent.
+    pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
         let mut file = File::open(path)?;
-        let actual_len = file.metadata()?.len();
-        let mut header = vec![0u8; PAGE.min(actual_len as usize)];
+        let file_len = file.metadata()?.len();
+        let mut header = vec![0u8; PAGE.min(file_len as usize)];
         io::Read::read_exact(&mut file, &mut header)?;
-        let sections = validate_header(&header, actual_len)?;
-        Ok(StoreFile {
+        let sections = validate_header(&header, file_len)?;
+        Ok(StoreReader {
             file,
+            file_len,
             sections,
             scratch: vec![0u8; STREAM_CHUNK],
             chunk_op: crc32_shift_op(STREAM_CHUNK as u64),
         })
+    }
+
+    /// Total file length in bytes, as recorded in the validated header.
+    pub fn file_len(&self) -> u64 {
+        self.file_len
     }
 
     /// The validated section table, in file order.
@@ -746,12 +642,11 @@ impl StoreFile {
     /// chunk to `sink` while accumulating the payload CRC. `sink` output
     /// must be discarded by the caller if this returns an error — the
     /// checksum verdict only lands after the final chunk.
-    fn stream_section(&mut self, id: u32, mut sink: impl FnMut(&[u8])) -> Result<(), StoreError> {
-        let info = *self.sections.iter().find(|s| s.id == id).ok_or_else(|| {
-            StoreError::MissingSection {
-                section: section_name(id).to_string(),
-            }
-        })?;
+    fn stream_section(
+        &mut self,
+        info: SectionInfo,
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<(), StoreError> {
         io::Seek::seek(&mut self.file, io::SeekFrom::Start(info.offset))?;
         let mut remaining = info.len as usize;
         let mut acc = !0u32;
@@ -779,13 +674,15 @@ impl StoreFile {
     ///
     /// # Errors
     ///
-    /// As [`StoreReader::u32s`]: missing section, CRC mismatch, or a
-    /// payload length that is not a multiple of 4.
+    /// [`StoreError::MissingSection`] when the table lacks `id`;
+    /// [`StoreError::SectionMalformed`] when the payload length is not a
+    /// multiple of 4; [`StoreError::SectionCrc`] naming the section when
+    /// its payload fails the checksum.
     pub fn read_u32s(&mut self, id: u32) -> Result<Vec<u32>, StoreError> {
-        let len = self.payload_len_checked(id, 4)?;
-        let mut out = Vec::with_capacity(len / 4);
+        let info = self.section_checked(id, 4)?;
+        let mut out = Vec::with_capacity(info.len as usize / 4);
         // STREAM_CHUNK is a multiple of 4, so no u32 straddles chunks.
-        self.stream_section(id, |chunk| {
+        self.stream_section(info, |chunk| {
             out.extend(
                 chunk
                     .chunks_exact(4)
@@ -799,12 +696,12 @@ impl StoreFile {
     ///
     /// # Errors
     ///
-    /// As [`StoreReader::u64s`]: missing section, CRC mismatch, or a
-    /// payload length that is not a multiple of 8.
+    /// As [`StoreReader::read_u32s`], with a payload length that must be
+    /// a multiple of 8.
     pub fn read_u64s(&mut self, id: u32) -> Result<Vec<u64>, StoreError> {
-        let len = self.payload_len_checked(id, 8)?;
-        let mut out = Vec::with_capacity(len / 8);
-        self.stream_section(id, |chunk| {
+        let info = self.section_checked(id, 8)?;
+        let mut out = Vec::with_capacity(info.len as usize / 8);
+        self.stream_section(info, |chunk| {
             out.extend(
                 chunk
                     .chunks_exact(8)
@@ -814,13 +711,15 @@ impl StoreFile {
         Ok(out)
     }
 
-    fn payload_len_checked(&self, id: u32, width: usize) -> Result<usize, StoreError> {
-        let info = self.sections.iter().find(|s| s.id == id).ok_or_else(|| {
+    /// The table entry for `id`, provided its payload is a whole number
+    /// of `width`-byte elements.
+    fn section_checked(&self, id: u32, width: u64) -> Result<SectionInfo, StoreError> {
+        let info = *self.sections.iter().find(|s| s.id == id).ok_or_else(|| {
             StoreError::MissingSection {
                 section: section_name(id).to_string(),
             }
         })?;
-        if !(info.len as usize).is_multiple_of(width) {
+        if !info.len.is_multiple_of(width) {
             return Err(StoreError::SectionMalformed {
                 section: info.name.to_string(),
                 detail: format!(
@@ -830,49 +729,7 @@ impl StoreFile {
                 ),
             });
         }
-        Ok(info.len as usize)
-    }
-}
-
-/// Checksum-verified, decoded section access — implemented by both the
-/// buffered [`StoreReader`] and the streaming [`StoreFile`], so codecs
-/// like `read_workload_sections` work against either. Methods take
-/// `&mut self` because the streaming reader advances a file cursor.
-pub trait ReadSections {
-    /// A section decoded as little-endian u32s, checksum-verified.
-    ///
-    /// # Errors
-    ///
-    /// Missing section, CRC mismatch (naming the section), or a payload
-    /// length that is not a multiple of 4.
-    fn read_u32s(&mut self, id: u32) -> Result<Vec<u32>, StoreError>;
-
-    /// A section decoded as little-endian u64s, checksum-verified.
-    ///
-    /// # Errors
-    ///
-    /// Missing section, CRC mismatch (naming the section), or a payload
-    /// length that is not a multiple of 8.
-    fn read_u64s(&mut self, id: u32) -> Result<Vec<u64>, StoreError>;
-}
-
-impl ReadSections for StoreReader {
-    fn read_u32s(&mut self, id: u32) -> Result<Vec<u32>, StoreError> {
-        self.u32s(id)
-    }
-
-    fn read_u64s(&mut self, id: u32) -> Result<Vec<u64>, StoreError> {
-        self.u64s(id)
-    }
-}
-
-impl ReadSections for StoreFile {
-    fn read_u32s(&mut self, id: u32) -> Result<Vec<u32>, StoreError> {
-        StoreFile::read_u32s(self, id)
-    }
-
-    fn read_u64s(&mut self, id: u32) -> Result<Vec<u64>, StoreError> {
-        StoreFile::read_u64s(self, id)
+        Ok(info)
     }
 }
 

@@ -1,14 +1,13 @@
 //! `MCSSTOR1` — the durable single-file store for MCSS arenas.
 //!
-//! Every other persistence path in the repo (TSV traces, the serve
-//! daemon's legacy snapshots) stores *primary* data and rebuilds derived
-//! state on load: transposing the interest CSR into the follower CSR and
+//! A TSV trace stores *primary* data only, so loading one rebuilds
+//! derived state: transposing the interest CSR into the follower CSR and
 //! ranking every interest row by rate. At a million subscribers that
 //! rebuild dominates cold start. This crate stores the arenas
 //! *themselves* — primaries and derived tables alike — as raw
 //! little-endian sections in one page-aligned, checksummed file, so a
-//! load is one `read`, a CRC sweep, and a bounds-checked widening pass:
-//! zero per-row work.
+//! load is a header-page read, then one fused CRC-and-widen pass per
+//! section: zero per-row work.
 //!
 //! Layout (field-by-field spec in `docs/STORE.md`):
 //!
@@ -20,8 +19,9 @@
 //! [`StoreError`]. Unknown section ids pass through readers untouched,
 //! so the format is forward-extensible without a version bump.
 //!
-//! The container ([`StoreBuilder`] / [`StoreReader`]) is generic; this
-//! crate also ships the workload codec ([`WorkloadStoreExt`]). The
+//! The container ([`StoreBuilder`] to write, the streaming
+//! [`StoreReader`] to read) is generic; this crate also ships the
+//! workload codec ([`WorkloadStoreExt`]). The
 //! solver-side sections (Stage-1 selection, fleet ledger, serve
 //! metadata) are encoded by `mcss_core::store` on top of the same
 //! container.
@@ -33,7 +33,7 @@ mod format;
 mod workload;
 
 pub use format::{
-    crc32, section, section_name, ReadSections, SectionInfo, StoreBuilder, StoreError, StoreFile,
-    StoreReader, MAGIC, MAX_SECTIONS, PAGE, VERSION,
+    crc32, section, section_name, SectionInfo, StoreBuilder, StoreError, StoreReader, MAGIC,
+    MAX_SECTIONS, PAGE, VERSION,
 };
 pub use workload::{read_workload_sections, write_workload_sections, WorkloadStoreExt};

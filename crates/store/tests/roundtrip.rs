@@ -5,7 +5,7 @@
 use mcss_store::{crc32, section, StoreBuilder, StoreError, StoreReader, WorkloadStoreExt, PAGE};
 use proptest::prelude::*;
 use pubsub_model::{Rate, TopicId, Workload};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -19,6 +19,14 @@ fn scratch(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Writes an in-memory store image to `dir` and opens it with the
+/// (file-backed) reader.
+fn open_image(dir: &Path, bytes: &[u8]) -> Result<StoreReader, StoreError> {
+    let path = dir.join("image.mcss");
+    std::fs::write(&path, bytes).unwrap();
+    StoreReader::open(&path)
 }
 
 /// A random workload: `topics` rates in 1..=max_rate, each subscriber
@@ -86,8 +94,9 @@ proptest! {
     }
 
     /// Truncating the file anywhere makes open fail closed — either the
-    /// header length check or (cut inside the header page) the magic /
-    /// checksum checks — never a panic, never silent success.
+    /// header length check or (cut inside the header page, a short
+    /// header read) the magic / checksum checks — never a panic, never
+    /// silent success.
     #[test]
     fn truncation_fails_closed(workload in arb_workload(), cut_raw in 0usize..1_000_000) {
         let dir = scratch("trunc");
@@ -95,7 +104,8 @@ proptest! {
         workload.to_store(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let cut = cut_raw % bytes.len();
-        let err = StoreReader::from_bytes(bytes[..cut].to_vec()).unwrap_err();
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let err = StoreReader::open(&path).unwrap_err();
         prop_assert!(
             matches!(
                 err,
@@ -120,8 +130,10 @@ fn empty_workload_roundtrips() {
 
 #[test]
 fn wrong_magic_is_rejected() {
-    let err = StoreReader::from_bytes(b"NOTASTOR".repeat(PAGE / 8)).unwrap_err();
+    let dir = scratch("magic");
+    let err = open_image(&dir, &b"NOTASTOR".repeat(PAGE / 8)).unwrap_err();
     assert!(matches!(err, StoreError::BadMagic), "got: {err}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -137,7 +149,8 @@ fn future_version_is_rejected_by_number() {
     bytes[24..28].copy_from_slice(&[0; 4]);
     let reseal = crc32(&bytes[..PAGE]);
     bytes[24..28].copy_from_slice(&reseal.to_le_bytes());
-    let err = StoreReader::from_bytes(bytes).unwrap_err();
+    std::fs::write(&path, &bytes).unwrap();
+    let err = StoreReader::open(&path).unwrap_err();
     assert!(
         matches!(err, StoreError::UnsupportedVersion(99)),
         "got: {err}"
@@ -147,21 +160,29 @@ fn future_version_is_rejected_by_number() {
 
 #[test]
 fn missing_section_is_named() {
-    let store = StoreBuilder::new().to_bytes();
-    let reader = StoreReader::from_bytes(store).unwrap();
-    let err = reader.bytes(section::RATES).unwrap_err();
+    let dir = scratch("missing");
+    let mut reader = open_image(&dir, &StoreBuilder::new().to_bytes()).unwrap();
+    let err = reader.read_u32s(section::RATES).unwrap_err();
     assert!(
         err.to_string().contains("`rates`"),
         "missing-section error must name the section: {err}"
     );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn unknown_sections_are_preserved_for_future_writers() {
+    let dir = scratch("unknown");
     let mut b = StoreBuilder::new();
     b.section(0x7F, vec![1, 2, 3]);
-    let reader = StoreReader::from_bytes(b.to_bytes()).unwrap();
+    let bytes = b.to_bytes();
+    let reader = open_image(&dir, &bytes).unwrap();
     assert_eq!(reader.sections().len(), 1);
-    assert_eq!(reader.sections()[0].name, "unknown");
-    assert_eq!(reader.bytes(0x7F).unwrap(), &[1, 2, 3]);
+    let info = reader.sections()[0];
+    assert_eq!(info.name, "unknown");
+    assert!(reader.has(0x7F));
+    let payload = &bytes[info.offset as usize..(info.offset + info.len) as usize];
+    assert_eq!(payload, &[1, 2, 3]);
+    assert_eq!(crc32(payload), info.crc);
+    std::fs::remove_dir_all(&dir).ok();
 }
