@@ -1,13 +1,15 @@
 //! Runs every experiment (Figs. 1–12 plus the extension figures) and
 //! archives the reports under `results/`, along with the machine-readable
-//! perf baselines (`BENCH_*.json`) at the repository root. Any `BENCH_*`
-//! write failure makes the run exit non-zero — the perf trajectory must
-//! never silently go missing.
+//! extension baselines (`BENCH_*.json`) at the repository root. Any
+//! `BENCH_*` write failure makes the run exit non-zero — the recorded
+//! results must never silently go missing.
 //!
 //! Run with: `cargo run --release -p mcss_bench --bin run_all`
-//! A single figure: `cargo run --release -p mcss_bench --bin run_all -- --only fig_store_load`
-//! Size overrides: `MCSS_SPOTIFY_SUBS`, `MCSS_TWITTER_USERS`,
-//! `MCSS_CHURN_XL_SUBS`, `MCSS_STORE_XL_SUBS`, `MCSS_CHURN_THREADS`.
+//! A single figure: `cargo run --release -p mcss_bench --bin run_all -- --only fig_packing`
+//! Size overrides: `MCSS_SPOTIFY_SUBS`, `MCSS_TWITTER_USERS`.
+//!
+//! End-to-end performance (store load, plan, churn epochs, resume) is
+//! measured by `perfbench/`, not here.
 
 use cloud_cost::instances;
 use mcss_bench::experiments;
@@ -27,13 +29,9 @@ const FIGURES: &[&str] = &[
     "fig6_7",
     "fig8_12",
     "fig_sharded",
-    "fig_solve",
-    "fig_churn",
-    "fig_serve",
     "fig_failures",
     "fig_mixed",
     "fig_packing",
-    "fig_store_load",
 ];
 
 fn save(dir: &Path, name: &str, content: &str) {
@@ -98,7 +96,7 @@ fn main() -> ExitCode {
     let mut bench_writes_ok = true;
 
     // Built on first use, so `--only` runs skip the scenarios they never
-    // touch (a `--only fig_store_load` CI leg never builds twitter).
+    // touch (`--only fig_failures` never builds twitter).
     let spotify =
         LazyCell::new(|| Scenario::spotify(env_size("MCSS_SPOTIFY_SUBS", 100_000), 20140113));
     let twitter =
@@ -192,49 +190,6 @@ fn main() -> ExitCode {
         save(dir, "sharded_speedup.txt", &sharded);
     }
 
-    if wants("fig_solve") {
-        let (solve_text, solve_json) =
-            experiments::fig_solve_speedup(&[&spotify, &twitter], instances::C3_LARGE, 100, 5);
-        let mut solve = String::from("== cold solve: arena vs legacy (Spotify + Twitter) ==\n");
-        solve.push_str(&solve_text);
-        save(dir, "solve_speedup.txt", &solve);
-        bench_writes_ok &= save_bench_json(Path::new("BENCH_solve.json"), &solve_json);
-    }
-
-    if wants("fig_churn") {
-        // Scale-up case: a million-subscriber Spotify workload, 1% churn,
-        // with the shard-parallel repair column enabled.
-        let churn_threads = env_size("MCSS_CHURN_THREADS", 4);
-        let churn_xl = Scenario::spotify(env_size("MCSS_CHURN_XL_SUBS", 1_000_000), 20140113);
-        let churn_cases = [
-            experiments::ChurnCase {
-                scenario: &spotify,
-                churn_levels: &[1, 5, 20],
-                threads: churn_threads,
-            },
-            experiments::ChurnCase {
-                scenario: &churn_xl,
-                churn_levels: &[1],
-                threads: churn_threads,
-            },
-        ];
-        let (churn_text, churn_json) =
-            experiments::fig_churn_speedup(&churn_cases, instances::C3_LARGE, 100, 6);
-        let mut churn = String::from("== churn-path repair vs full re-select (Spotify) ==\n");
-        churn.push_str(&churn_text);
-        save(dir, "churn_speedup.txt", &churn);
-        bench_writes_ok &= save_bench_json(Path::new("BENCH_churn.json"), &churn_json);
-    }
-
-    if wants("fig_serve") {
-        let (serve_text, serve_json) =
-            experiments::fig_serve(&spotify, instances::C3_LARGE, 100, 6);
-        let mut serve = String::from("== event-sourced serve daemon (Spotify) ==\n");
-        serve.push_str(&serve_text);
-        save(dir, "serve_daemon.txt", &serve);
-        bench_writes_ok &= save_bench_json(Path::new("BENCH_serve.json"), &serve_json);
-    }
-
     if wants("fig_failures") {
         let (drill_text, drill_json) =
             experiments::fig_failure_drills(&spotify, instances::C3_LARGE, 100);
@@ -260,18 +215,6 @@ fn main() -> ExitCode {
         packing.push_str(&packing_text);
         save(dir, "packing_frontier.txt", &packing);
         bench_writes_ok &= save_bench_json(Path::new("BENCH_packing.json"), &packing_json);
-    }
-
-    if wants("fig_store_load") {
-        // Scale-up case: the zero-rebuild claim matters most at a
-        // million subscribers, where the trace re-parse pays seconds.
-        let store_xl = Scenario::spotify(env_size("MCSS_STORE_XL_SUBS", 1_000_000), 20140113);
-        let (store_text, store_json) = experiments::fig_store_load(&[&spotify, &store_xl], 100, 3);
-        let mut store =
-            String::from("== zero-rebuild cold start: MCSSTOR1 store vs trace parse ==\n");
-        store.push_str(&store_text);
-        save(dir, "store_load.txt", &store);
-        bench_writes_ok &= save_bench_json(Path::new("BENCH_store.json"), &store_json);
     }
 
     println!(

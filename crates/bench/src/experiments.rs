@@ -6,22 +6,17 @@ use crate::scenario::Scenario;
 use crate::table::Table;
 use cloud_cost::{instances, Ec2CostModel, FleetCostModel, InstanceType};
 use mcss_core::dynamic::DriftModel;
-use mcss_core::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
+use mcss_core::incremental::{IncrementalReallocator, SlaBudget};
 use mcss_core::planner::plan_mixed;
-use mcss_core::serve::{Daemon, Driver, ServeConfig};
 use mcss_core::stage1::{GreedySelectPairs, PairSelector, RandomSelectPairs};
 use mcss_core::stage2::{improve, Allocator, CbpConfig, CustomBinPacking, FirstFitBinPacking};
 use mcss_core::{
-    lower_bound, AllocatorKind, McssInstance, MemoryFootprint, PartitionerKind, SearchBudget,
-    SelectorKind, ShardingConfig, Solver, SolverParams,
+    lower_bound, AllocatorKind, McssInstance, PartitionerKind, SearchBudget, SelectorKind,
+    ShardingConfig, Solver, SolverParams,
 };
-use mcss_store::WorkloadStoreExt;
-use pubsub_model::{Bandwidth, Rate, Workload};
-use pubsub_traces::io::{read_workload, write_workload};
+use pubsub_model::{Bandwidth, Rate};
 use pubsub_traces::{analysis, TwitterLike};
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -345,340 +340,6 @@ pub fn fig_sharded_speedup(scenario: &Scenario, instance: InstanceType, tau: u64
     out
 }
 
-/// One scale point of the churn experiment: a scenario, the churn levels
-/// (percent) to sweep at that scale, and the worker-thread count for the
-/// shard-parallel repair column (`1` skips the parallel run).
-#[derive(Clone, Copy, Debug)]
-pub struct ChurnCase<'a> {
-    /// The workload to drift.
-    pub scenario: &'a Scenario,
-    /// Subscription-churn percentages to sweep (e.g. `&[1, 5, 20]`).
-    pub churn_levels: &'a [u64],
-    /// Worker threads for the parallel-repair column.
-    pub threads: usize,
-}
-
-/// Churn-path speedup experiment (extension, not a paper figure): the
-/// O(Δ) dirty-tracking epoch repair versus the pre-ledger implementation
-/// ([`crate::legacy::LegacyReallocator`], the "old full-reselect" path)
-/// over a drifting workload, across churn levels and workload scales.
-/// Cases with `threads > 1` additionally time the shard-parallel repair
-/// ([`IncrementalConfig::with_repair_threads`]).
-///
-/// Every epoch asserts the dirty paths' selections — single-threaded
-/// *and* parallel — are bit-identical to the baseline's and validates
-/// the repaired fleet, so the reported speedup is for *equivalent
-/// output*. Each row also records the resident bytes per subscriber
-/// (workload arenas + previous selection + fleet ledger, measured by
-/// [`MemoryFootprint`]). Returns the human-readable report and a
-/// machine-readable JSON document (`BENCH_churn.json`).
-pub fn fig_churn_speedup(
-    cases: &[ChurnCase<'_>],
-    instance: InstanceType,
-    tau: u64,
-    epochs: u64,
-) -> (String, String) {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# churn-path repair, τ={tau}, {} epochs per level (Δ-MT = shard-parallel repair)",
-        epochs
-    );
-    let mut t = Table::new(vec![
-        "subs".into(),
-        "churn%".into(),
-        "full ns/epoch".into(),
-        "Δ ns/epoch".into(),
-        "Δ-MT ns/epoch".into(),
-        "speedup".into(),
-        "MT speedup".into(),
-        "moved/epoch".into(),
-        "VMs".into(),
-        "B/sub".into(),
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for case in cases {
-        let scenario = case.scenario;
-        let cost = scenario.cost_model(instance);
-        let inst0 = scenario
-            .instance(tau, instance)
-            .expect("catalogued capacity is nonzero");
-        let capacity = inst0.capacity();
-        let tau_rate = inst0.tau();
-        let subs = scenario.workload.num_subscribers();
-        for &churn_pct in case.churn_levels {
-            let drift = DriftModel {
-                rate_sigma: 0.0,
-                churn_prob: churn_pct as f64 / 100.0,
-                seed: 97,
-            };
-            let mut full = crate::legacy::LegacyReallocator::default();
-            let mut dirty = IncrementalReallocator::default();
-            let mut dirty_mt = (case.threads > 1).then(|| {
-                IncrementalReallocator::new(
-                    IncrementalConfig::default().with_repair_threads(case.threads),
-                )
-            });
-            let mut w = inst0.workload().clone();
-            // Epoch 0 primes the re-allocators; it is not timed.
-            let prime = McssInstance::new(w.clone(), tau_rate, capacity).expect("feasible");
-            full.step(&prime, &cost).expect("first epoch solves");
-            dirty.step(&prime, &cost).expect("first epoch solves");
-            if let Some(mt) = dirty_mt.as_mut() {
-                mt.step(&prime, &cost).expect("first epoch solves");
-            }
-
-            let (mut full_ns, mut dirty_ns, mut mt_ns) = (0u128, 0u128, 0u128);
-            let (mut moved, mut reused) = (0u64, 0u64);
-            let mut fleet = 0usize;
-            for epoch in 0..epochs {
-                let (next, delta) = drift.evolve_tracked(&w, epoch);
-                w = next;
-                let step = McssInstance::new(w.clone(), tau_rate, capacity).expect("feasible");
-                let t0 = Instant::now();
-                let f = full.step(&step, &cost).expect("repairable");
-                full_ns += t0.elapsed().as_nanos();
-                let t1 = Instant::now();
-                let d = dirty
-                    .step_with_delta(&step, &cost, &delta)
-                    .expect("repairable");
-                dirty_ns += t1.elapsed().as_nanos();
-                assert_eq!(
-                    d.selection, f.selection,
-                    "dirty path diverged from full re-selection"
-                );
-                if let Some(mt) = dirty_mt.as_mut() {
-                    let t2 = Instant::now();
-                    let m = mt
-                        .step_with_delta(&step, &cost, &delta)
-                        .expect("repairable");
-                    mt_ns += t2.elapsed().as_nanos();
-                    assert_eq!(
-                        m.selection, f.selection,
-                        "parallel repair diverged from full re-selection"
-                    );
-                }
-                d.allocation
-                    .validate(step.workload(), step.tau())
-                    .expect("repaired fleet must stay valid");
-                moved += d.pairs_placed + d.pairs_removed;
-                reused += d.pairs_reused;
-                fleet = d.allocation.vm_count();
-            }
-            let (sel, ledger, _) = dirty.checkpoint().expect("primed reallocator has state");
-            let footprint = MemoryFootprint::measure(&w, Some(sel), Some(ledger));
-            let bytes_per_sub = footprint.bytes_per_subscriber();
-            let full_per = full_ns / u128::from(epochs);
-            let dirty_per = (dirty_ns / u128::from(epochs)).max(1);
-            let mt_per = (mt_ns / u128::from(epochs)).max(1);
-            let speedup = full_per as f64 / dirty_per as f64;
-            let mt_speedup = full_per as f64 / mt_per as f64;
-            let moved_per = moved / epochs;
-            let reused_per = reused / epochs;
-            let mt_cols = if dirty_mt.is_some() {
-                (mt_per.to_string(), format!("{mt_speedup:.1}x"))
-            } else {
-                ("-".into(), "-".into())
-            };
-            t.row(vec![
-                subs.to_string(),
-                churn_pct.to_string(),
-                full_per.to_string(),
-                dirty_per.to_string(),
-                mt_cols.0,
-                format!("{speedup:.1}x"),
-                mt_cols.1,
-                moved_per.to_string(),
-                fleet.to_string(),
-                format!("{bytes_per_sub:.1}"),
-            ]);
-            let mt_json = if dirty_mt.is_some() {
-                format!("\"delta_mt_ns_per_epoch\": {mt_per}, \"mt_speedup\": {mt_speedup:.2}, ")
-            } else {
-                String::new()
-            };
-            json_rows.push(format!(
-                "    {{\"trace\": \"{}\", \"subscribers\": {subs}, \"churn_pct\": {churn_pct}, \
-                 \"threads\": {}, \"full_ns_per_epoch\": {full_per}, \
-                 \"delta_ns_per_epoch\": {dirty_per}, {mt_json}\"speedup\": {speedup:.2}, \
-                 \"pairs_moved_per_epoch\": {moved_per}, \"pairs_reused_per_epoch\": {reused_per}, \
-                 \"fleet_vms\": {fleet}, \"bytes_per_subscriber\": {bytes_per_sub:.2}}}",
-                scenario.name, case.threads
-            ));
-        }
-    }
-    let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "# all paths produce bit-identical selections and validated fleets; \
-         speedup is full-reselect ns/epoch over dirty-path ns/epoch \
-         (MT speedup: over the shard-parallel dirty path); B/sub counts \
-         resident workload arenas + selection + fleet ledger"
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"churn_epoch\",\n  \"tau\": {tau},\n  \
-         \"epochs_per_level\": {epochs},\n  \"unit\": \"ns_per_epoch\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    (out, json)
-}
-
-/// Serve-daemon experiment (extension, not a paper figure): streams the
-/// scenario's workload through the event-sourced [`Daemon`] — bootstrap
-/// batch plus `epochs` drift batches — measuring sustained submit
-/// throughput, p50/p99 epoch-apply latency, and crash-recovery time as
-/// the event log grows (pure log replay, plus one recovery from a
-/// snapshot). Every recovery is asserted bit-identical to the live
-/// daemon before it counts. Returns the human-readable report and the
-/// machine-readable JSON document (`BENCH_serve.json`).
-pub fn fig_serve(
-    scenario: &Scenario,
-    instance: InstanceType,
-    tau: u64,
-    epochs: u64,
-) -> (String, String) {
-    let cost = scenario.cost_model(instance);
-    let capacity = cost.capacity();
-    let dir = std::env::temp_dir().join(format!(
-        "mcss-bench-serve-{}-{}",
-        std::process::id(),
-        scenario.name
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    // Snapshots off: the sweep measures recovery as pure log replay; the
-    // final row shows what one snapshot does to it.
-    let config = ServeConfig::new(Rate::new(tau), capacity).with_snapshot_every(0);
-    let mut daemon =
-        Daemon::create(&dir, config, Box::new(cost)).expect("serve state dir is writable");
-    let drift = DriftModel {
-        rate_sigma: 0.05,
-        churn_prob: 0.05,
-        seed: 20140601,
-    };
-    let mut driver = Driver::new((*scenario.workload).clone(), drift);
-
-    let mut measure_at: Vec<u64> = vec![epochs.div_ceil(3), (2 * epochs).div_ceil(3), epochs];
-    measure_at.dedup();
-    // (epochs applied, log records, from snapshot?, recovery ms)
-    let mut recoveries: Vec<(u64, u64, bool, f64)> = Vec::new();
-    let recover = |live: &Daemon, snapshot: bool| {
-        let t0 = Instant::now();
-        let recovered = Daemon::resume(&dir, config, Box::new(scenario.cost_model(instance)))
-            .expect("recovery succeeds");
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            recovered.allocation(),
-            live.allocation(),
-            "recovered fleet must be bit-identical"
-        );
-        assert_eq!(
-            recovered.selection(),
-            live.selection(),
-            "recovered selection must be bit-identical"
-        );
-        (
-            recovered.epochs_applied(),
-            recovered.last_applied_seq(),
-            snapshot,
-            ms,
-        )
-    };
-
-    let mut stats = Vec::new();
-    let mut total_events = 0u64;
-    let started = Instant::now();
-    for batch in 0..epochs {
-        let events = if batch == 0 {
-            driver.initial_events()
-        } else {
-            driver.next_epoch_events()
-        };
-        total_events += events.len() as u64;
-        for e in events {
-            daemon.submit(e).expect("driver events are valid");
-        }
-        if let Some(s) = daemon.tick().expect("epoch applies") {
-            stats.push(s);
-        }
-        if measure_at.contains(&(batch + 1)) {
-            recoveries.push(recover(&daemon, false));
-        }
-    }
-    let elapsed = started.elapsed();
-    daemon.snapshot_now().expect("snapshot writes");
-    recoveries.push(recover(&daemon, true));
-
-    let mut apply_ms: Vec<f64> = stats
-        .iter()
-        .map(|s| s.apply_time.as_secs_f64() * 1e3)
-        .collect();
-    apply_ms.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    let pct = |p: f64| -> f64 {
-        if apply_ms.is_empty() {
-            0.0
-        } else {
-            apply_ms[(((apply_ms.len() - 1) as f64) * p).round() as usize]
-        }
-    };
-    let events_per_sec = total_events as f64 / elapsed.as_secs_f64().max(1e-9);
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# serve daemon, {} trace, {} subscribers, τ={tau}, bootstrap + {} drift batches",
-        scenario.name,
-        scenario.workload.num_subscribers(),
-        epochs - 1
-    );
-    let _ = writeln!(
-        out,
-        "sustained {events_per_sec:.0} events/s over {total_events} events \
-         ({} applied epochs); epoch apply p50 {:.2} ms, p99 {:.2} ms",
-        stats.len(),
-        pct(0.5),
-        pct(0.99)
-    );
-    let mut t = Table::new(vec![
-        "epochs".into(),
-        "log records".into(),
-        "snapshot".into(),
-        "recovery ms".into(),
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for &(applied, records, snapshot, ms) in &recoveries {
-        t.row(vec![
-            applied.to_string(),
-            records.to_string(),
-            if snapshot { "yes" } else { "no" }.to_string(),
-            format!("{ms:.2}"),
-        ]);
-        json_rows.push(format!(
-            "    {{\"epochs\": {applied}, \"log_records\": {records}, \
-             \"snapshot\": {snapshot}, \"recovery_ms\": {ms:.3}}}"
-        ));
-    }
-    let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "# every recovery asserted bit-identical (selection + fleet) to the live daemon"
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"serve_daemon\",\n  \"trace\": \"{}\",\n  \"subscribers\": {},\n  \
-         \"tau\": {tau},\n  \"epochs\": {},\n  \"events\": {total_events},\n  \
-         \"events_per_sec\": {events_per_sec:.1},\n  \"apply_ms_p50\": {:.3},\n  \
-         \"apply_ms_p99\": {:.3},\n  \"results\": [\n{}\n  ]\n}}\n",
-        scenario.name,
-        scenario.workload.num_subscribers(),
-        stats.len(),
-        pct(0.5),
-        pct(0.99),
-        json_rows.join(",\n")
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    (out, json)
-}
-
 /// Failure-drill experiment (extension, not a paper figure): kill VMs
 /// out of a solved fleet and repair through the ledger under an SLA
 /// budget of ~10% of the orphaned pairs per epoch, for three drill
@@ -825,267 +486,6 @@ pub fn fig_failure_drills(
         scenario.workload.num_subscribers(),
         json_rows.join(",\n")
     );
-    (out, json)
-}
-
-/// Cold-solve speedup experiment (extension, not a paper figure): the
-/// sort-free arena pipeline (rate-ranked GSP sweep + `TopicGroups`
-/// counting-sort grouping into CBP) versus the preserved pre-arena path
-/// ([`crate::legacy::legacy_solve`]: a `sort_unstable_by` per subscriber
-/// and a `Vec` per topic), full Stage-1 → grouping → Stage-2 solves.
-///
-/// Every measured run asserts the two paths produce bit-identical
-/// selections **and** bit-identical allocations, so the reported speedup
-/// is for equivalent output. Returns the human-readable report and the
-/// machine-readable JSON document (`BENCH_solve.json`) with ns/solve per
-/// trace.
-pub fn fig_solve_speedup(
-    scenarios: &[&Scenario],
-    instance: InstanceType,
-    tau: u64,
-    reps: u32,
-) -> (String, String) {
-    assert!(reps > 0, "need at least one measured solve");
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# cold solve, arena (sort-free) vs legacy (sort per subscriber), \
-         τ={tau}, {reps} solves per path"
-    );
-    let mut t = Table::new(vec![
-        "trace".into(),
-        "subs".into(),
-        "legacy ns/solve".into(),
-        "arena ns/solve".into(),
-        "speedup".into(),
-        "pairs".into(),
-        "VMs".into(),
-        "identical=".into(),
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for scenario in scenarios {
-        let cost = scenario.cost_model(instance);
-        let inst = scenario
-            .instance(tau, instance)
-            .expect("catalogued capacity is nonzero");
-        let selector = GreedySelectPairs::new();
-        let packer = CustomBinPacking::new(CbpConfig::full());
-
-        // One untimed warm-up per path primes allocator pools and caches.
-        let _ = crate::legacy::legacy_solve(&inst, &cost).expect("feasible scenario");
-        let _ = packer
-            .allocate(
-                inst.workload(),
-                &selector.select(&inst).expect("gsp"),
-                inst.capacity(),
-                &cost,
-            )
-            .expect("feasible scenario");
-
-        let (mut legacy_ns, mut arena_ns) = (0u128, 0u128);
-        let mut pairs = 0u64;
-        let mut vms = 0usize;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let (legacy_sel, legacy_alloc) =
-                crate::legacy::legacy_solve(&inst, &cost).expect("feasible scenario");
-            legacy_ns += t0.elapsed().as_nanos();
-
-            let t1 = Instant::now();
-            let arena_sel = selector.select(&inst).expect("gsp");
-            let arena_alloc = packer
-                .allocate(inst.workload(), &arena_sel, inst.capacity(), &cost)
-                .expect("feasible scenario");
-            arena_ns += t1.elapsed().as_nanos();
-
-            // Equivalent output, asserted per run — divergence aborts the
-            // experiment, so a written report always means "identical".
-            assert_eq!(
-                arena_sel, legacy_sel,
-                "{}: arena selection diverged from the legacy path",
-                scenario.name
-            );
-            assert_eq!(
-                arena_alloc, legacy_alloc,
-                "{}: arena allocation diverged from the legacy path",
-                scenario.name
-            );
-            pairs = arena_sel.pair_count();
-            vms = arena_alloc.vm_count();
-        }
-        let legacy_per = (legacy_ns / u128::from(reps)).max(1);
-        let arena_per = (arena_ns / u128::from(reps)).max(1);
-        let speedup = legacy_per as f64 / arena_per as f64;
-        let subs = scenario.workload.num_subscribers();
-        t.row(vec![
-            scenario.name.to_string(),
-            subs.to_string(),
-            legacy_per.to_string(),
-            arena_per.to_string(),
-            format!("{speedup:.2}x"),
-            pairs.to_string(),
-            vms.to_string(),
-            // Asserted above: a run that diverges never reaches here.
-            "true".to_string(),
-        ]);
-        json_rows.push(format!(
-            "    {{\"trace\": \"{}\", \"subscribers\": {subs}, \
-             \"legacy_ns_per_solve\": {legacy_per}, \"arena_ns_per_solve\": {arena_per}, \
-             \"speedup\": {speedup:.2}, \"pairs\": {pairs}, \"fleet_vms\": {vms}, \
-             \"identical_output\": true}}",
-            scenario.name
-        ));
-    }
-    let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "# both paths produce bit-identical selections and allocations \
-         (asserted per run); speedup is legacy ns/solve over arena ns/solve"
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"cold_solve\",\n  \"tau\": {tau},\n  \"reps\": {reps},\n  \
-         \"unit\": \"ns_per_solve\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    (out, json)
-}
-
-/// Zero-rebuild cold-start experiment (extension, not a paper figure):
-/// time loading each scenario's workload from its `MCSSTOR1` store —
-/// one read plus a bounds-checked fixup — against re-parsing the TSV
-/// trace and rebuilding every arena from scratch, the only cold-start
-/// path that existed before the store. Every measured load (both
-/// paths) is asserted bit-identical to the generator's workload,
-/// ranked and follower arenas included. Returns the human-readable
-/// report and the machine-readable JSON document (`BENCH_store.json`).
-pub fn fig_store_load(scenarios: &[&Scenario], tau: u64, reps: u32) -> (String, String) {
-    assert!(reps > 0, "need at least one measured load");
-    let dir = std::env::temp_dir().join(format!("mcss-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("bench scratch dir is writable");
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# cold start, MCSSTOR1 store load vs trace parse + arena rebuild, \
-         {reps} loads per path"
-    );
-    let mut t = Table::new(vec![
-        "trace".into(),
-        "subs".into(),
-        "trace bytes".into(),
-        "store bytes".into(),
-        "parse ns/load".into(),
-        "store ns/load".into(),
-        "speedup".into(),
-        "identical=".into(),
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for scenario in scenarios {
-        let trace_path = dir.join(format!("{}.tsv", scenario.name));
-        let store_path = dir.join(format!("{}.mcss", scenario.name));
-        let file = File::create(&trace_path).expect("trace file is writable");
-        write_workload(BufWriter::new(file), &scenario.workload).expect("trace writes");
-        scenario
-            .workload
-            .to_store(&store_path)
-            .expect("store writes");
-        let trace_bytes = std::fs::metadata(&trace_path).expect("trace exists").len();
-        let store_bytes = std::fs::metadata(&store_path).expect("store exists").len();
-
-        let parse = || {
-            let file = File::open(&trace_path).expect("trace opens");
-            read_workload(BufReader::new(file)).expect("trace parses")
-        };
-        let load = || Workload::from_store(&store_path).expect("store loads");
-
-        // Warm-up primes the page cache so both paths read warm files,
-        // and sweeps the per-row arenas once — the reps loop then leans
-        // on whole-struct equality, which covers the same arenas.
-        assert_eq!(
-            parse(),
-            *scenario.workload,
-            "{}: TSV round-trip diverged",
-            scenario.name
-        );
-        let warm = load();
-        assert_eq!(
-            warm, *scenario.workload,
-            "{}: store round-trip diverged",
-            scenario.name
-        );
-        for v in scenario.workload.subscribers() {
-            assert_eq!(warm.interests(v), scenario.workload.interests(v));
-            assert_eq!(
-                warm.ranked_interests(v),
-                scenario.workload.ranked_interests(v)
-            );
-        }
-        drop(warm);
-
-        // Each path gets its own batched loop (rather than alternating
-        // within one loop) so neither inherits the other's allocator
-        // state; bit-identity is asserted per measured load — divergence
-        // aborts the experiment, so a written report always means
-        // "identical".
-        let mut parse_ns = 0u128;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let parsed = parse();
-            parse_ns += t0.elapsed().as_nanos();
-            assert_eq!(
-                parsed, *scenario.workload,
-                "{}: trace parse diverged from the generator workload",
-                scenario.name
-            );
-        }
-        let mut store_ns = 0u128;
-        for _ in 0..reps {
-            let t1 = Instant::now();
-            let loaded = load();
-            store_ns += t1.elapsed().as_nanos();
-            assert_eq!(
-                loaded, *scenario.workload,
-                "{}: store load diverged from the generator workload",
-                scenario.name
-            );
-        }
-        let parse_per = (parse_ns / u128::from(reps)).max(1);
-        let store_per = (store_ns / u128::from(reps)).max(1);
-        let speedup = parse_per as f64 / store_per as f64;
-        let subs = scenario.workload.num_subscribers();
-        t.row(vec![
-            scenario.name.to_string(),
-            subs.to_string(),
-            trace_bytes.to_string(),
-            store_bytes.to_string(),
-            parse_per.to_string(),
-            store_per.to_string(),
-            format!("{speedup:.2}x"),
-            // Asserted above: a load that diverges never reaches here.
-            "true".to_string(),
-        ]);
-        json_rows.push(format!(
-            "    {{\"trace\": \"{}\", \"subscribers\": {subs}, \
-             \"trace_bytes\": {trace_bytes}, \"store_bytes\": {store_bytes}, \
-             \"trace_ns_per_load\": {parse_per}, \"store_ns_per_load\": {store_per}, \
-             \"speedup\": {speedup:.2}, \"identical_workload\": true}}",
-            scenario.name
-        ));
-    }
-    let _ = writeln!(out, "{}", t.render());
-
-    let _ = writeln!(
-        out,
-        "# every measured load asserted bit-identical to the generator \
-         workload, ranked and follower arenas included"
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"store_load\",\n  \"tau\": {tau},\n  \"reps\": {reps},\n  \
-         \"unit\": \"ns_per_load\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    let _ = std::fs::remove_dir_all(&dir);
     (out, json)
 }
 
@@ -1685,38 +1085,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_speedup_report_runs_on_small_scenario() {
-        let s = Scenario::spotify(500, 9);
-        let cases = [ChurnCase {
-            scenario: &s,
-            churn_levels: &[1, 5, 20],
-            threads: 2,
-        }];
-        let (text, json) = fig_churn_speedup(&cases, instances::C3_LARGE, 50, 2);
-        assert!(text.contains("churn%"));
-        assert!(text.contains("speedup"));
-        assert!(json.contains("\"bench\": \"churn_epoch\""));
-        assert!(json.contains("\"churn_pct\": 20"));
-        assert!(json.contains("\"threads\": 2"));
-        assert!(json.contains("\"delta_mt_ns_per_epoch\""));
-        assert!(json.contains("\"bytes_per_subscriber\""));
-        assert!(json.contains("ns_per_epoch"));
-    }
-
-    #[test]
-    fn serve_report_runs_on_small_scenario() {
-        let s = Scenario::spotify(400, 9);
-        let (text, json) = fig_serve(&s, instances::C3_LARGE, 50, 3);
-        assert!(text.contains("events/s"), "no throughput line:\n{text}");
-        assert!(text.contains("recovery ms"), "no recovery table:\n{text}");
-        assert!(text.contains("yes"), "no snapshot recovery row:\n{text}");
-        assert!(json.contains("\"bench\": \"serve_daemon\""));
-        assert!(json.contains("\"apply_ms_p99\""));
-        assert!(json.contains("\"snapshot\": true"));
-        assert!(json.contains("\"recovery_ms\""));
-    }
-
-    #[test]
     fn failure_drills_report_runs_on_small_scenario() {
         let s = Scenario::spotify(400, 9);
         let (text, json) = fig_failure_drills(&s, instances::C3_LARGE, 50);
@@ -1727,32 +1095,6 @@ mod tests {
         assert!(json.contains("\"bench\": \"failure_drills\""));
         assert!(json.contains("\"epochs_to_drain\""));
         assert!(json.contains("\"delivered_identical\": true"));
-    }
-
-    #[test]
-    fn solve_speedup_report_runs_on_small_scenarios() {
-        let spotify = Scenario::spotify(400, 9);
-        let twitter = Scenario::twitter(300, 9);
-        let (text, json) = fig_solve_speedup(&[&spotify, &twitter], instances::C3_LARGE, 100, 2);
-        assert!(text.contains("legacy ns/solve"));
-        assert!(text.contains("spotify"));
-        assert!(text.contains("twitter"));
-        assert!(!text.contains("false"), "outputs diverged:\n{text}");
-        assert!(json.contains("\"bench\": \"cold_solve\""));
-        assert!(json.contains("\"identical_output\": true"));
-        assert!(json.contains("ns_per_solve"));
-    }
-
-    #[test]
-    fn store_load_report_runs_on_small_scenarios() {
-        let spotify = Scenario::spotify(400, 9);
-        let twitter = Scenario::twitter(300, 9);
-        let (text, json) = fig_store_load(&[&spotify, &twitter], 50, 2);
-        assert!(text.contains("store ns/load"), "no load table:\n{text}");
-        assert!(!text.contains("false"), "a load diverged:\n{text}");
-        assert!(json.contains("\"bench\": \"store_load\""));
-        assert!(json.contains("\"identical_workload\": true"));
-        assert!(json.contains("\"store_ns_per_load\""));
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! cover the runtime figures (4–7) with statistical rigor; the experiment
 //! binaries print the same series as tables for quick inspection.
 //!
+//! End-to-end performance of the allocator and the serve daemon (store
+//! load, plan, churn epochs, resume) is measured by the separate
+//! `perfbench/` crate, which builds its workloads from [`scenario`]; its
+//! README holds the per-layer evidence.
+//!
 //! Scaling: experiments run on synthetic traces a few percent of the
 //! paper's size; per-VM capacity and the $/GB price are scale-compensated
 //! (see `DESIGN.md` §3) so VM counts and dollar figures are directly
@@ -15,7 +20,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
-pub mod legacy;
 pub mod paper;
 pub mod scenario;
 pub mod table;

@@ -116,11 +116,27 @@ impl Scenario {
 
 /// Reads a `NAME=value` override from the environment, for sizing
 /// experiments without recompiling (e.g. `MCSS_SPOTIFY_SUBS=250000`).
+/// An unset variable yields `default`.
+///
+/// # Panics
+///
+/// If the variable is set to anything but a positive integer (`250k`,
+/// `0`, non-Unicode bytes): a typo must stop the run, not size it
+/// silently at the default or reach a generator as an empty workload.
+/// The message names the variable.
 pub fn env_size(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_size(name, raw.as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn parse_size(name: &str, raw: Option<&str>, default: usize) -> Result<usize, String> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    match raw.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{name}={raw:?} is not a positive integer")),
+    }
 }
 
 #[cfg(test)]
@@ -160,5 +176,14 @@ mod tests {
     #[test]
     fn env_size_falls_back() {
         assert_eq!(env_size("MCSS_DEFINITELY_UNSET_VAR", 42), 42);
+        assert_eq!(
+            parse_size("MCSS_SPOTIFY_SUBS", Some("250000"), 7),
+            Ok(250_000)
+        );
+        // Set but unusable: refused by name, never replaced by the default.
+        for bad in ["250k", "0", "", "-5", "1e6"] {
+            let err = parse_size("MCSS_SPOTIFY_SUBS", Some(bad), 100_000).unwrap_err();
+            assert!(err.starts_with("MCSS_SPOTIFY_SUBS="), "{bad:?}: {err}");
+        }
     }
 }

@@ -15,7 +15,7 @@ use std::fmt;
 /// Bytes-per-subscriber report over the structures a long-running churn
 /// loop keeps resident: the workload arenas, the previous epoch's
 /// selection, and the fleet ledger. Built by [`MemoryFootprint::measure`];
-/// surfaced by `mcss analyze` and recorded in `BENCH_churn.json`.
+/// surfaced by `mcss analyze`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryFootprint {
     /// Per-arena workload bytes.
@@ -31,8 +31,8 @@ pub struct MemoryFootprint {
 impl MemoryFootprint {
     /// Measures a workload plus whatever epoch state the caller has.
     /// `mcss analyze` passes `None` for both (it sees only the trace);
-    /// the churn bench passes the reallocator's checkpointed selection
-    /// and ledger.
+    /// `crates/bench/tests/footprint.rs` passes a reallocator's
+    /// checkpointed selection and ledger.
     pub fn measure(
         workload: &Workload,
         selection: Option<&Selection>,

@@ -60,11 +60,6 @@ pub struct IncrementalConfig {
     /// Repairs stay incremental either way — they touch only the pairs
     /// that moved.
     pub sharding: Option<ShardingConfig>,
-    /// When true (the default), Stage 1 re-selects only dirty subscribers
-    /// and reuses the previous rows for the rest. When false, every
-    /// subscriber is re-selected each epoch — the pre-ledger behaviour,
-    /// kept as the baseline the churn bench measures against.
-    pub dirty_tracking: bool,
     /// When set, epoch repairs re-select the dirty subscriber set
     /// shard-parallel: the dirty set is split with the same partitioners
     /// as full sharded solves, each shard re-selects on a scoped worker
@@ -81,7 +76,6 @@ impl Default for IncrementalConfig {
         IncrementalConfig {
             compaction_threshold: 0.5,
             sharding: None,
-            dirty_tracking: true,
             repair: None,
         }
     }
@@ -554,11 +548,10 @@ impl IncrementalReallocator {
                     }
                 }
             }
-            // Scan-based detection needs the interest snapshot; without
-            // one (the previous epoch was delta-fed) stay all-dirty.
-            let can_track = self.config.dirty_tracking
-                && basis.tau == tau
-                && (delta.is_some() || basis.workload.is_some());
+            // A τ change dirties every row. Scan-based detection needs
+            // the interest snapshot; without one (the previous epoch was
+            // delta-fed) stay all-dirty.
+            let can_track = basis.tau == tau && (delta.is_some() || basis.workload.is_some());
             if can_track {
                 dirty = vec![false; n];
                 // Followers of re-rated topics.
@@ -1203,9 +1196,11 @@ mod tests {
 
     #[test]
     fn dirty_path_matches_full_reselect_bitwise() {
-        // The headline O(Δ) guarantee: with dirty tracking on, the
-        // selection each epoch must be bit-identical to re-running GSP
-        // over everyone, whether the delta is scanned or caller-provided.
+        // The headline O(Δ) guarantee: the selection each epoch must be
+        // bit-identical to re-running GSP over everyone, whether the delta
+        // is scanned or caller-provided. `alternating` scans after every
+        // delta-fed epoch, which leaves it no interest snapshot to diff
+        // against: those epochs take the all-dirty path and reuse nothing.
         let drift = DriftModel {
             rate_sigma: 0.3,
             churn_prob: 0.4,
@@ -1213,28 +1208,50 @@ mod tests {
         };
         let mut scanned = IncrementalReallocator::default();
         let mut delta_fed = IncrementalReallocator::default();
-        let mut full = IncrementalReallocator::new(IncrementalConfig {
-            dirty_tracking: false,
-            ..IncrementalConfig::default()
-        });
+        let mut alternating = IncrementalReallocator::default();
         let mut w = base_workload();
         let mut delta = WorkloadDelta::default();
+        let mut inst = instance(w.clone());
         for epoch in 0..6 {
-            let inst = instance(w.clone());
+            if epoch > 0 {
+                (w, delta) = drift.evolve_tracked(&w, epoch - 1);
+                inst = instance(w.clone());
+            }
             let fresh = GreedySelectPairs::new().select(&inst).unwrap();
             let a = scanned.step(&inst, &cost()).unwrap();
             let b = delta_fed.step_with_delta(&inst, &cost(), &delta).unwrap();
-            let c = full.step(&inst, &cost()).unwrap();
+            let c = if epoch % 2 == 0 {
+                alternating.step_with_delta(&inst, &cost(), &delta).unwrap()
+            } else {
+                alternating.step(&inst, &cost()).unwrap()
+            };
             assert_eq!(a.selection, fresh, "scanned diverged at epoch {epoch}");
             assert_eq!(b.selection, fresh, "delta-fed diverged at epoch {epoch}");
-            assert_eq!(c.selection, fresh, "full diverged at epoch {epoch}");
-            assert_eq!(c.pairs_reused, 0, "full re-select must reuse nothing");
+            assert_eq!(c.selection, fresh, "alternating diverged at epoch {epoch}");
+            if epoch % 2 == 1 {
+                assert_eq!(c.pairs_reused, 0, "epoch {epoch} had no basis to reuse");
+            }
             for out in [&a, &b, &c] {
                 out.allocation
                     .validate(inst.workload(), inst.tau())
                     .unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
             }
-            (w, delta) = drift.evolve_tracked(&w, epoch);
+        }
+
+        // A τ change over the same workload dirties every row, scanned or
+        // delta-fed.
+        let inst = inst.with_tau(Rate::new(10));
+        let fresh = GreedySelectPairs::new().select(&inst).unwrap();
+        let a = scanned.step(&inst, &cost()).unwrap();
+        let b = delta_fed
+            .step_with_delta(&inst, &cost(), &WorkloadDelta::default())
+            .unwrap();
+        for out in [&a, &b] {
+            assert_eq!(out.selection, fresh, "τ change diverged from fresh GSP");
+            assert_eq!(out.pairs_reused, 0, "τ change must reuse nothing");
+            out.allocation
+                .validate(inst.workload(), inst.tau())
+                .unwrap();
         }
     }
 

@@ -19,6 +19,11 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
 
+mod support {
+    pub mod reference_cbp;
+}
+use support::reference_cbp::reference_cbp_allocate;
+
 /// Random workload: 1..=8 topics with rates 1..=30, 1..=8 subscribers
 /// with non-empty interests.
 fn arb_workload() -> impl Strategy<Value = Workload> {
@@ -129,6 +134,29 @@ proptest! {
         }
     }
 
+    /// CustomBinPacking (full preset) packs exactly like the independent
+    /// reference packer, `Allocation` for `Allocation`, over the GSP
+    /// selection at several τ and under a VM-priced and a
+    /// bandwidth-priced cost model, so the Alg. 7 decision is priced both
+    /// ways.
+    #[test]
+    fn cbp_matches_reference_packer(inst in arb_instance()) {
+        let pricey_bw = LinearCostModel::new(Money::from_micros(1), Money::from_dollars(5));
+        let costs: [&dyn CostModel; 2] = [&nocost(), &pricey_bw];
+        for tau in [1u64, 10, 25, 60, 200] {
+            let inst = inst.with_tau(Rate::new(tau));
+            let sel = GreedySelectPairs::new().select(&inst).unwrap();
+            for cost in costs {
+                let packed = CustomBinPacking::new(CbpConfig::full())
+                    .allocate(inst.workload(), &sel, inst.capacity(), cost)
+                    .unwrap();
+                let reference =
+                    reference_cbp_allocate(inst.workload(), &sel, inst.capacity(), cost).unwrap();
+                prop_assert_eq!(&packed, &reference, "τ={} diverged", tau);
+            }
+        }
+    }
+
     /// The `TopicGroups` CSR inversion agrees exactly with a reference
     /// `HashMap<TopicId, Vec<SubscriberId>>` grouping on random
     /// selections: same topics (ascending), same subscribers per topic in
@@ -224,10 +252,12 @@ proptest! {
         }
     }
 
-    /// Dirty-subscriber re-selection is bit-identical to a full GSP
-    /// re-selection across random drift sequences — for the self-scanned
-    /// delta, the drift-provided delta, and the full-reselect baseline —
-    /// and the repaired fleet stays valid either way.
+    /// Dirty-subscriber re-selection is bit-identical to a fresh GSP
+    /// selection across random drift sequences — for the self-scanned
+    /// delta, the drift-provided delta, and a reallocator that alternates
+    /// the two, whose scanned epochs follow a delta-fed one and so take
+    /// the all-dirty path (reusing nothing) — and the repaired fleet
+    /// stays valid either way.
     #[test]
     fn dirty_reselection_bit_identical_across_drift(
         inst in arb_instance(),
@@ -243,10 +273,7 @@ proptest! {
         };
         let mut scanned = IncrementalReallocator::default();
         let mut delta_fed = IncrementalReallocator::default();
-        let mut full = IncrementalReallocator::new(IncrementalConfig {
-            dirty_tracking: false,
-            ..IncrementalConfig::default()
-        });
+        let mut alternating = IncrementalReallocator::default();
         let mut w = inst.workload().clone();
         let mut delta = mcss_core::dynamic::WorkloadDelta::default();
         // Headroom so drifted rates stay feasible for the capacity.
@@ -256,10 +283,17 @@ proptest! {
             let fresh = GreedySelectPairs::new().select(&step).unwrap();
             let a = scanned.step(&step, &nocost()).unwrap();
             let b = delta_fed.step_with_delta(&step, &nocost(), &delta).unwrap();
-            let c = full.step(&step, &nocost()).unwrap();
+            let c = if epoch % 2 == 0 {
+                alternating.step_with_delta(&step, &nocost(), &delta).unwrap()
+            } else {
+                alternating.step(&step, &nocost()).unwrap()
+            };
             prop_assert_eq!(&a.selection, &fresh, "scanned diverged at epoch {}", epoch);
             prop_assert_eq!(&b.selection, &fresh, "delta-fed diverged at epoch {}", epoch);
-            prop_assert_eq!(&c.selection, &fresh, "full diverged at epoch {}", epoch);
+            prop_assert_eq!(&c.selection, &fresh, "alternating diverged at epoch {}", epoch);
+            if epoch % 2 == 1 {
+                prop_assert_eq!(c.pairs_reused, 0, "all-dirty epoch {} reused rows", epoch);
+            }
             for out in [&a, &b, &c] {
                 out.allocation.validate(step.workload(), step.tau()).map_err(|e| {
                     TestCaseError::fail(format!("epoch {epoch} invalid: {e}"))
